@@ -38,13 +38,18 @@ struct ProtocolOptions {
 
 /// Transfer accounting of one top-k query (inputs of Equations 12-14).
 struct QueryTrace {
-  /// Server round trips (1 = answered by the initial response).
+  /// Server round trips (1 = answered by the initial response). A
+  /// multi-term query sends every unfinished term's next range in one
+  /// round trip, so this is the number of rounds: the most requests any one
+  /// of its terms needed, not their sum.
   uint64_t requests = 0;
 
   /// Total posting elements transferred — the paper's TRes.
   uint64_t elements_fetched = 0;
 
-  /// Bytes transferred server -> client.
+  /// Bytes transferred server -> client: each round trip's whole response
+  /// message. On Direct and Loopback transports `requests` and this equal
+  /// the transport's `exchanges` and `bytes_down` for the query.
   uint64_t bytes_fetched = 0;
 
   /// Elements of the queried term among those fetched.

@@ -50,12 +50,12 @@ class ZerberRClient : public zerber::ZerberClient {
   /// hits *are* the term's top-k documents.
   StatusOr<TopKResult> QueryTopK(text::TermId term, size_t k);
 
-  /// Multi-term query as a set of single-term queries (Section 3.2) whose
-  /// *initial* requests are batched into a single MultiFetch round trip;
-  /// follow-ups (when a term's initial response lacks k hits) proceed
-  /// per-term. Results are merged client-side by summed raw scores; the
-  /// paper accepts the slight accuracy loss vs TFxIDF as the price of
-  /// hiding collection statistics.
+  /// Multi-term query as a set of single-term queries (Section 3.2) run
+  /// side by side: each round trip carries the next doubling-schedule range
+  /// of every term still short of k hits, so the query costs as many round
+  /// trips as its slowest term, not their sum. Results are merged
+  /// client-side by summed raw scores; the paper accepts the slight
+  /// accuracy loss vs TFxIDF as the price of hiding collection statistics.
   StatusOr<TopKResult> QueryTopKMulti(const std::vector<text::TermId>& terms,
                                       size_t k);
 
@@ -70,22 +70,30 @@ class ZerberRClient : public zerber::ZerberClient {
     size_t initial = 0;        ///< initial response size b for this list
     size_t offset = 0;         ///< accessible elements consumed so far
     size_t request_index = 0;  ///< next request's slot in the schedule
-    TopKResult out;
+    bool exhausted = false;    ///< the server reported the list's end
+    std::vector<index::ScoredDoc> results;  ///< hits, in list order
   };
 
   /// Resolves the term's list and initial response size.
   StatusOr<TermQuery> BeginQuery(text::TermId term, size_t k) const;
 
-  /// Folds one response into the query state: decrypts, filters to the
-  /// term, counts trace fields (one request, its elements and bytes).
+  /// Folds one response into the term's state: decrypts, keeps at most k
+  /// elements of the term, and counts the elements in `trace`.
   Status AbsorbResponse(TermQuery* q, size_t k,
-                        const net::QueryResponse& response);
+                        const net::QueryResponse& response,
+                        QueryTrace* trace);
 
-  /// True when the query needs no further requests.
+  /// True when the term needs no further requests.
   bool Done(const TermQuery& q, size_t k) const;
 
-  /// Issues Fetch rounds (from the current request_index) until Done.
-  Status RunToCompletion(TermQuery* q, size_t k);
+  /// Runs rounds until every term is done. A round sends the next range of
+  /// each unfinished term, in term order: one Fetch when one term is open,
+  /// one MultiFetch when several are. Each term's range sequence is what it
+  /// would be on its own. `trace` gains one request and the round's
+  /// response bytes per round, and the terms' elements, hits and
+  /// exhaustion. Any failed round fails the query.
+  Status RunRounds(std::vector<TermQuery>* queries, size_t k,
+                   QueryTrace* trace);
 
   const TrsAssigner* assigner_;
   ProtocolOptions protocol_;

@@ -85,7 +85,8 @@ struct LoadSpec {
   /// byte-identical: no extra RNG draws happen at all. Above 1.0 each
   /// Zerber+R query draws additional Zipf term ranks and issues all of
   /// its initial requests as one batched MultiFetch round trip — the
-  /// co-occurrence observable the adversarial traffic suite attacks.
+  /// co-occurrence observable the adversarial traffic suite attacks — and
+  /// each round of follow-ups as one more.
   /// Echoed into the report's spec JSON only when != 1.0, so existing
   /// perf baselines compare unchanged.
   double terms_per_query_mean = 1.0;

@@ -71,7 +71,7 @@ class ClusterEquivalenceTest : public ::testing::Test {
             "--shards=" + std::to_string(kShards),
             "--lists=" + std::to_string(num_lists),
             "--seed=" + std::to_string(backend_seed),
-            "--data-dir=" + (*root_ / ("s" + std::to_string(s))).string(),
+            "--data-dir=" + ((*root_ / "s") += std::to_string(s)).string(),
             "--sync=none",  // no fault injection here; speed over sync
             "--listen=127.0.0.1:0",
         };

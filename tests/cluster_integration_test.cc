@@ -86,7 +86,7 @@ class ClusterIntegrationTest : public ::testing::Test {
             "--shards=" + std::to_string(kShards),
             "--lists=" + std::to_string(num_lists),
             "--seed=" + std::to_string(backend_seed),
-            "--data-dir=" + (root_ / ("s" + std::to_string(s))).string(),
+            "--data-dir=" + ((root_ / "s") += std::to_string(s)).string(),
             "--sync=every-record",
             "--listen=127.0.0.1:0",
         };
